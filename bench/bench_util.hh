@@ -121,31 +121,11 @@ printRuntimeTable(const std::vector<synth::Suite> &suites, int min_size,
     }
 }
 
-/**
- * Scheduling and solver-work summary for a sharded synthesis run: job
- * counts, aggregate SAT work, and wall-clock vs. aggregate CPU time so
- * the runtime figures (13c/16c/20b) can report both.
- */
-inline void
-printParallelStats(const synth::SynthProgress &progress, int jobs,
-                   double wall_seconds, double cpu_seconds)
-{
-    std::printf("parallel synthesis: %u worker(s); %llu/%llu jobs done; "
-                "%llu SAT conflicts; %llu instances enumerated\n",
-                ThreadPool::resolveThreads(jobs),
-                static_cast<unsigned long long>(progress.jobsDone.load()),
-                static_cast<unsigned long long>(progress.jobsQueued.load()),
-                static_cast<unsigned long long>(progress.conflicts.load()),
-                static_cast<unsigned long long>(progress.instances.load()));
-    std::printf("wall-clock %.2fs, aggregate CPU %.2fs (%.2fx)\n",
-                wall_seconds, cpu_seconds,
-                wall_seconds > 0 ? cpu_seconds / wall_seconds : 0.0);
-}
-
-/** Aggregate CPU seconds over per-axiom suites (excluding the union,
- *  whose per-size seconds are already the sum of its parts). */
+/** Summed per-shard enumeration seconds over per-axiom suites (the
+ *  union's per-size seconds are already the sum of its parts). This is
+ *  enumeration time, not CPU time: base encodings are not in it. */
 inline double
-aggregateCpuSeconds(const std::vector<synth::Suite> &suites)
+enumerationSeconds(const std::vector<synth::Suite> &suites)
 {
     double s = 0;
     for (const auto &suite : suites) {
@@ -155,16 +135,15 @@ aggregateCpuSeconds(const std::vector<synth::Suite> &suites)
     return s;
 }
 
-/** One engine-mode measurement for the BENCH_*.json comparison. */
+/** One mode measurement for the BENCH_*.json comparison. */
 struct ModeRun
 {
-    std::string mode; ///< "incremental"/"from-scratch"; "-nosbp",
-                      ///< "-nosimp", "-noshare" suffixed when disabled
+    std::string mode; ///< "incremental", "-nosbp"/"-nosimp" suffixed
+                      ///< when disabled
     bool sbp = true;  ///< symmetry breaking was enabled for this run
-    bool simplify = true;     ///< SatELite-style preprocessing was enabled
-    bool shareClauses = true; ///< cross-shard learnt-clause sharing enabled
+    bool simplify = true; ///< SatELite-style preprocessing was enabled
     double wallSeconds = 0;
-    double cpuSeconds = 0;
+    double enumerationSeconds = 0; ///< summed per-shard enumeration time
     uint64_t jobsQueued = 0;
     uint64_t jobsDone = 0;
     uint64_t conflicts = 0;
@@ -173,8 +152,6 @@ struct ModeRun
     uint64_t sbpClauses = 0;    ///< SBP clauses emitted, all solvers
     uint64_t eliminatedVars = 0;  ///< vars removed by simplify, all solvers
     uint64_t subsumedClauses = 0; ///< clauses removed by simplify
-    uint64_t importedClauses = 0; ///< learnt clauses adopted from siblings
-    uint64_t exportedClauses = 0; ///< learnt clauses published to siblings
     std::map<int, uint64_t> instancesBySize;  ///< union suite, size -> models
     std::map<int, int> keptBySize;            ///< union suite, size -> tests
     std::map<int, uint64_t> sbpClausesBySize; ///< union suite, size -> clauses
@@ -219,34 +196,29 @@ querySuites(const mm::Model &model, const synth::SynthOptions &opt,
 }
 
 /**
- * Run one full synthesis under one engine mode and record the
- * solver-work and runtime numbers the BENCH_*.json files report. Counts
- * come from the SuiteResult's SynthProgress snapshot, not live atomics.
- * The suites go to *out when the caller also wants the figure tables.
+ * Run one full synthesis under @p opt and record the solver-work and
+ * runtime numbers the BENCH_*.json files report. Counts come from the
+ * SuiteResult's SynthProgress snapshot, not live atomics. The suites go
+ * to *out when the caller also wants the figure tables.
  */
 inline ModeRun
-measureMode(const mm::Model &model, synth::SynthOptions opt, bool incremental,
-            bool sbp = true, std::vector<synth::Suite> *out = nullptr)
+measureMode(const mm::Model &model, const synth::SynthOptions &opt,
+            std::vector<synth::Suite> *out = nullptr)
 {
-    opt.incremental = incremental;
-    opt.symmetryBreaking = sbp;
     Timer wall;
     synth::SuiteResult result;
     querySuites(model, opt, &result);
     const synth::SynthProgressSnapshot &progress = result.progress;
     ModeRun run;
-    run.mode = incremental ? "incremental" : "from-scratch";
-    if (!sbp)
+    run.mode = "incremental";
+    if (!opt.symmetryBreaking)
         run.mode += "-nosbp";
     if (!opt.simplify)
         run.mode += "-nosimp";
-    if (!opt.shareClauses)
-        run.mode += "-noshare";
-    run.sbp = sbp;
+    run.sbp = opt.symmetryBreaking;
     run.simplify = opt.simplify;
-    run.shareClauses = opt.shareClauses;
     run.wallSeconds = wall.seconds();
-    run.cpuSeconds = aggregateCpuSeconds(result.suites);
+    run.enumerationSeconds = enumerationSeconds(result.suites);
     run.jobsQueued = progress.jobsQueued;
     run.jobsDone = progress.jobsDone;
     run.conflicts = progress.conflicts;
@@ -255,8 +227,6 @@ measureMode(const mm::Model &model, synth::SynthOptions opt, bool incremental,
     run.sbpClauses = progress.sbpClauses;
     run.eliminatedVars = progress.eliminatedVars;
     run.subsumedClauses = progress.subsumedClauses;
-    run.importedClauses = progress.importedClauses;
-    run.exportedClauses = progress.exportedClauses;
     run.instancesBySize = result.unionSuite().instancesBySize;
     run.keptBySize = result.unionSuite().testsBySize;
     run.sbpClausesBySize = result.unionSuite().sbpClausesBySize;
@@ -266,26 +236,25 @@ measureMode(const mm::Model &model, synth::SynthOptions opt, bool incremental,
     return run;
 }
 
-/** One-line scheduling/solver-work summary for an engine-mode run. */
+/** One-line scheduling/solver-work summary for a mode run. */
 inline void
 printModeRun(const ModeRun &run, int jobs)
 {
-    std::printf("%s engine: %u worker(s); %llu/%llu jobs done; "
+    std::printf("%s: %u worker(s); %llu/%llu jobs done; "
                 "%llu SAT conflicts; %llu instances enumerated\n",
                 run.mode.c_str(), ThreadPool::resolveThreads(jobs),
                 static_cast<unsigned long long>(run.jobsDone),
                 static_cast<unsigned long long>(run.jobsQueued),
                 static_cast<unsigned long long>(run.conflicts),
                 static_cast<unsigned long long>(run.instances));
-    std::printf("wall-clock %.2fs, aggregate CPU %.2fs (%.2fx)\n",
-                run.wallSeconds, run.cpuSeconds,
-                run.wallSeconds > 0 ? run.cpuSeconds / run.wallSeconds : 0.0);
+    std::printf("wall-clock %.2fs, summed enumeration %.2fs\n",
+                run.wallSeconds, run.enumerationSeconds);
 }
 
 /**
  * Write the machine-readable results file (BENCH_<name>.json) consumed
- * by sweep scripts: one entry per engine mode with wall/CPU seconds,
- * SAT conflicts, and union-suite instance counts per size.
+ * by sweep scripts: one entry per mode with wall and summed enumeration
+ * seconds, SAT conflicts, and union-suite instance counts per size.
  */
 inline void
 writeBenchJson(const std::string &path, const std::string &bench,
@@ -316,9 +285,8 @@ writeBenchJson(const std::string &path, const std::string &bench,
                      "      \"mode\": \"%s\",\n"
                      "      \"sbp\": %s,\n"
                      "      \"simplify\": %s,\n"
-                     "      \"shareClauses\": %s,\n"
                      "      \"wallSeconds\": %.6f,\n"
-                     "      \"cpuSeconds\": %.6f,\n"
+                     "      \"enumerationSeconds\": %.6f,\n"
                      "      \"jobsQueued\": %llu,\n"
                      "      \"conflicts\": %llu,\n"
                      "      \"restarts\": %llu,\n"
@@ -326,13 +294,10 @@ writeBenchJson(const std::string &path, const std::string &bench,
                      "      \"sbpClauses\": %llu,\n"
                      "      \"eliminatedVars\": %llu,\n"
                      "      \"subsumedClauses\": %llu,\n"
-                     "      \"importedClauses\": %llu,\n"
-                     "      \"exportedClauses\": %llu,\n"
                      "      \"suiteDigest\": \"%s\",\n",
                      run.mode.c_str(), run.sbp ? "true" : "false",
                      run.simplify ? "true" : "false",
-                     run.shareClauses ? "true" : "false",
-                     run.wallSeconds, run.cpuSeconds,
+                     run.wallSeconds, run.enumerationSeconds,
                      static_cast<unsigned long long>(run.jobsQueued),
                      static_cast<unsigned long long>(run.conflicts),
                      static_cast<unsigned long long>(run.restarts),
@@ -340,8 +305,6 @@ writeBenchJson(const std::string &path, const std::string &bench,
                      static_cast<unsigned long long>(run.sbpClauses),
                      static_cast<unsigned long long>(run.eliminatedVars),
                      static_cast<unsigned long long>(run.subsumedClauses),
-                     static_cast<unsigned long long>(run.importedClauses),
-                     static_cast<unsigned long long>(run.exportedClauses),
                      run.suiteDigest.c_str());
         // Every size in [min, max] is emitted with a 0 default, so a
         // baseline file from an empty trajectory still fixes the schema
@@ -397,14 +360,12 @@ writeBenchJson(const std::string &path, const std::string &bench,
  */
 struct MicroRun
 {
-    std::string scenario; ///< e.g. "simplify-on", "share-off"
+    std::string scenario; ///< e.g. "simplify-on", "simplify-off"
     double wallSeconds = 0;
     uint64_t conflicts = 0;
     uint64_t propagations = 0;
     uint64_t eliminatedVars = 0;
     uint64_t subsumedClauses = 0;
-    uint64_t importedClauses = 0;
-    uint64_t exportedClauses = 0;
     uint64_t problemClauses = 0; ///< live problem clauses after setup
 };
 
@@ -432,8 +393,6 @@ writeMicroSatJson(const std::string &path, const std::vector<MicroRun> &runs)
                      "      \"propagations\": %llu,\n"
                      "      \"eliminatedVars\": %llu,\n"
                      "      \"subsumedClauses\": %llu,\n"
-                     "      \"importedClauses\": %llu,\n"
-                     "      \"exportedClauses\": %llu,\n"
                      "      \"problemClauses\": %llu\n"
                      "    }%s\n",
                      r.scenario.c_str(), r.wallSeconds,
@@ -441,8 +400,6 @@ writeMicroSatJson(const std::string &path, const std::vector<MicroRun> &runs)
                      static_cast<unsigned long long>(r.propagations),
                      static_cast<unsigned long long>(r.eliminatedVars),
                      static_cast<unsigned long long>(r.subsumedClauses),
-                     static_cast<unsigned long long>(r.importedClauses),
-                     static_cast<unsigned long long>(r.exportedClauses),
                      static_cast<unsigned long long>(r.problemClauses),
                      i + 1 < runs.size() ? "," : "");
     }

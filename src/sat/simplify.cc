@@ -92,10 +92,6 @@ bool
 Solver::simplify(const SimplifyConfig &cfg)
 {
     assert(decisionLevel() == 0);
-    // Simplification rewrites the shared variable prefix; it must happen
-    // before the solver joins a clause-bank family, where the prefix is
-    // contractually identical across members.
-    assert(bank == nullptr && "simplify() must run before connectBank()");
     if (!ok)
         return false;
     Simplifier pass(*this, cfg);

@@ -39,8 +39,8 @@ rel::FormulaPtr minimalityFormula(const mm::Model &model,
 /**
  * The axiom-independent part of the criterion: well-formed ∧ every
  * applicable relaxation admits. This is the bulk of the encoding and is
- * shared by all axioms at a given size, so the incremental engine
- * asserts it once per size as a base fact and layers per-axiom
+ * shared by all axioms at a given size, so each size's BaseEncoding
+ * asserts it once as a base fact and layers per-axiom
  * violations (axiomViolation) over it as retractable facts.
  */
 rel::FormulaPtr minimalityBase(const mm::Model &model, size_t n);
@@ -55,8 +55,11 @@ rel::FormulaPtr axiomViolation(const mm::Model &model,
 
 /**
  * Disjunctive violation layer for the direct union suite: at least one
- * axiom forbids the execution. Layered over minimalityBase this
- * reconstitutes minimalityFormulaUnion.
+ * axiom forbids the execution. Layered over minimalityBase this is the
+ * union criterion, well-formed ∧ (∨_A ¬A(base)) ∧ conjunct, minimal for
+ * *at least one* axiom. The paper's footnote 4 notes that generating the
+ * union directly was often slower than merging the per-axiom suites;
+ * bench/ablation_synth reproduces that comparison.
  */
 rel::FormulaPtr anyAxiomViolation(const mm::Model &model, size_t n);
 
@@ -66,15 +69,6 @@ rel::FormulaPtr anyAxiomViolation(const mm::Model &model, size_t n);
  * to distinguish "not forbidden" from "not relaxation-tight".
  */
 rel::FormulaPtr relaxationConjunct(const mm::Model &model, size_t n);
-
-/**
- * Direct union-suite formula: minimal for *at least one* axiom. Since
- * the relaxation conjunct is axiom-independent, this is
- * well-formed ∧ (∨_A ¬A(base)) ∧ conjunct. The paper's footnote 4 notes
- * that generating the union directly was often slower than merging the
- * per-axiom suites; bench/ablation_synth reproduces that comparison.
- */
-rel::FormulaPtr minimalityFormulaUnion(const mm::Model &model, size_t n);
 
 /** Concretely check the criterion on an explicit instance. */
 bool isMinimalInstance(const mm::Model &model, const std::string &axiom_name,

@@ -2,9 +2,10 @@
  * @file
  * The shared command-line surface for synth::SynthOptions.
  *
- * Every knob in SynthOptions has exactly one --flag, declared from one
- * table (synthFlagSpecs) so ltsgen and the bench binaries agree on
- * names, defaults, and --help text. Binaries declare the table, parse,
+ * Every SynthOptions knob but progress and the retired incremental has
+ * exactly one --flag, declared from one table (synthFlagSpecs) so
+ * ltsgen and the bench binaries agree on names, defaults, and --help
+ * text. Binaries declare the table, parse,
  * then build a SynthOptions with synthOptionsFromFlags; re-declaring a
  * flag after declareAll overrides its default for that binary.
  */

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -374,10 +373,8 @@ serializeSuiteRequest(const SuiteRequest &request)
     out << "budget " << o.conflictBudget << "\n";
     out << "maxtests " << o.maxTestsPerSize << "\n";
     out << "sbp " << (o.symmetryBreaking ? 1 : 0) << "\n";
-    out << "incremental " << (o.incremental ? 1 : 0) << "\n";
     out << "jobs " << o.jobs << "\n";
     out << "simplify " << (o.simplify ? 1 : 0) << "\n";
-    out << "share " << (o.shareClauses ? 1 : 0) << "\n";
     return out.str();
 }
 
@@ -404,10 +401,8 @@ parseSuiteRequest(const std::string &text)
     o.conflictBudget = r.u64("budget");
     o.maxTestsPerSize = r.i32("maxtests");
     o.symmetryBreaking = r.u64("sbp") != 0;
-    o.incremental = r.u64("incremental") != 0;
     o.jobs = r.i32("jobs");
     o.simplify = r.u64("simplify") != 0;
-    o.shareClauses = r.u64("share") != 0;
     return request;
 }
 
@@ -429,8 +424,7 @@ serializeSuiteResult(const SuiteResult &result)
     out << "progress " << p.jobsQueued << " " << p.jobsRunning << " "
         << p.jobsDone << " " << p.conflicts << " " << p.restarts << " "
         << p.instances << " " << p.sbpClauses << " " << p.eliminatedVars
-        << " " << p.subsumedClauses << " " << p.importedClauses << " "
-        << p.exportedClauses << "\n";
+        << " " << p.subsumedClauses << "\n";
     out << "provenance " << result.shards.size() << "\n";
     for (const auto &s : result.shards) {
         out << "shard " << s.size << " " << (s.cached ? 1 : 0) << " "
@@ -466,8 +460,7 @@ parseSuiteResult(const std::string &text)
         SynthProgressSnapshot &p = result.progress;
         if (!(line >> p.jobsQueued >> p.jobsRunning >> p.jobsDone >>
               p.conflicts >> p.restarts >> p.instances >> p.sbpClauses >>
-              p.eliminatedVars >> p.subsumedClauses >> p.importedClauses >>
-              p.exportedClauses)) {
+              p.eliminatedVars >> p.subsumedClauses)) {
             throw std::runtime_error("service: bad progress line");
         }
     }
@@ -708,81 +701,51 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
         }
     }
 
-    size_t missing = axioms.size() * n_sizes - result.shardsCached;
-    if (missing > 0 && config.residentEncodings) {
-        // Daemon mode: sweep the misses over resident base encodings,
-        // building each missing (base, size) encoding at most once and
-        // keeping it hot for later queries.
-        for (size_t si = 0; si < n_sizes; si++) {
-            int size = min_size + static_cast<int>(si);
-            bool any_miss = false;
-            for (size_t ai = 0; ai < axioms.size(); ai++)
-                any_miss = any_miss || !have[ai][si];
-            if (!any_miss)
+    // Every miss is swept through its size's BaseEncoding, one job per
+    // size. A one-shot query frees each encoding as soon as its size is
+    // done; the daemon keeps it resident, keyed by base digest and
+    // options, and sweeps it proof-less (its solver outlives any one
+    // query, so one proof file could not delimit a query's claims).
+    // Resident slots are created here, on the calling thread, so pool
+    // jobs never touch the map.
+    SynthOptions sweep_options = options;
+    if (config.residentEncodings)
+        sweep_options.proofDir.clear();
+    std::vector<SizeSweep> sweeps;
+    std::vector<size_t> sweep_size_index;
+    for (size_t si = 0; si < n_sizes; si++) {
+        int size = min_size + static_cast<int>(si);
+        SizeSweep sweep{size, {}, nullptr};
+        for (size_t ai = 0; ai < axioms.size(); ai++) {
+            if (!have[ai][si])
+                sweep.axioms.push_back(axioms[ai]);
+        }
+        if (sweep.axioms.empty())
+            continue;
+        if (config.residentEncodings) {
+            sweep.resident =
+                &encodings[base_digests[si] + "/" + result.optionsDigest];
+            emit("size " + std::to_string(size) +
+                 (*sweep.resident ? ": base encoding resident"
+                                  : ": building base encoding"));
+        }
+        sweeps.push_back(std::move(sweep));
+        sweep_size_index.push_back(si);
+    }
+    std::vector<std::vector<ShardResult>> fresh =
+        sweepSizes(model, sweeps, sweep_options);
+    for (size_t k = 0; k < sweeps.size(); k++) {
+        size_t si = sweep_size_index[k];
+        size_t next = 0;
+        for (size_t ai = 0; ai < axioms.size(); ai++) {
+            if (have[ai][si])
                 continue;
-            std::string enc_key =
-                base_digests[si] + "/" + result.optionsDigest;
-            auto it = encodings.find(enc_key);
-            if (it == encodings.end()) {
-                emit("size " + std::to_string(size) +
-                     ": building base encoding");
-                it = encodings
-                         .emplace(enc_key, std::make_unique<BaseEncoding>(
-                                               model, size, options))
-                         .first;
-            } else {
-                emit("size " + std::to_string(size) +
-                     ": base encoding resident");
-            }
-            for (size_t ai = 0; ai < axioms.size(); ai++) {
-                if (have[ai][si])
-                    continue;
-                shards[ai][si] = it->second->synthesizeShard(
-                    model, axioms[ai], options);
-                have[ai][si] = true;
-                result.shardsSynthesized++;
-                emit("shard " + axioms[ai] + "@" + std::to_string(size) +
-                     ": synthesized, " +
-                     std::to_string(shards[ai][si].tests.size()) + " tests");
-            }
-        }
-    } else if (missing > 0) {
-        // One-shot mode: run the missing shards through the sharded
-        // engine so the engine knobs (incremental/from-scratch, jobs,
-        // simplify, clause sharing) behave exactly as synthesizeAll.
-        std::set<std::pair<std::string, int>> wanted;
-        for (size_t ai = 0; ai < axioms.size(); ai++) {
-            for (size_t si = 0; si < n_sizes; si++) {
-                if (!have[ai][si]) {
-                    wanted.emplace(axioms[ai],
-                                   min_size + static_cast<int>(si));
-                }
-            }
-        }
-        ShardSelector selector = [&](const std::string &axiom, int size) {
-            return wanted.count({axiom, size}) != 0;
-        };
-        auto fresh = synthesizeShards(model, options, selector);
-        // fresh is indexed by model axiom declaration order; map back
-        // into the (possibly axiom-scoped) result rows.
-        for (size_t ai = 0; ai < axioms.size(); ai++) {
-            size_t model_index = 0;
-            const auto &model_axioms = model.axioms();
-            while (model_index < model_axioms.size() &&
-                   model_axioms[model_index].name != axioms[ai]) {
-                model_index++;
-            }
-            for (size_t si = 0; si < n_sizes; si++) {
-                if (have[ai][si])
-                    continue;
-                shards[ai][si] = std::move(fresh[model_index][si]);
-                have[ai][si] = true;
-                result.shardsSynthesized++;
-                emit("shard " + axioms[ai] + "@" +
-                     std::to_string(min_size + static_cast<int>(si)) +
-                     ": synthesized, " +
-                     std::to_string(shards[ai][si].tests.size()) + " tests");
-            }
+            shards[ai][si] = std::move(fresh[k][next++]);
+            have[ai][si] = true;
+            result.shardsSynthesized++;
+            emit("shard " + axioms[ai] + "@" +
+                 std::to_string(sweeps[k].size) + ": synthesized, " +
+                 std::to_string(shards[ai][si].tests.size()) + " tests");
         }
     }
 
@@ -795,16 +758,13 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
                                  from_store[ai][si],
                                  shards[ai][si].tests.size(),
                                  std::string()};
-            // A freshly synthesized shard's conclusion landed in a proof
-            // file; pin its content digest into the provenance. Cached
-            // shards ran no solver, and the resident-encoding sweep is
-            // proof-less (see BaseEncoding::synthesizeShard).
-            if (!from_store[ai][si] && !options.proofDir.empty() &&
-                !config.residentEncodings) {
-                prov.proofDigest = proofFileDigest(proofFilePath(
-                    options, model.name(),
-                    options.incremental ? std::string() : axioms[ai],
-                    prov.size));
+            // A freshly synthesized shard's conclusion landed in its
+            // size's proof file; pin its content digest into the
+            // provenance. Cached shards ran no solver, and resident
+            // encodings are proof-less.
+            if (!from_store[ai][si] && !sweep_options.proofDir.empty()) {
+                prov.proofDigest = proofFileDigest(
+                    proofFilePath(sweep_options, model.name(), prov.size));
             }
             result.shards.push_back(std::move(prov));
         }

@@ -27,9 +27,9 @@
  *
  * The options digest covers only the knobs that change suite *bytes*
  * (canonicalizer, blocking granularity, budgets/caps); engine knobs
- * (incremental, jobs, simplify, sbp, clause sharing) are excluded
- * because suites are byte-identical across them — a suite synthesized
- * from-scratch serves a later incremental query.
+ * (jobs, simplify, sbp, proofs) are excluded because suites are
+ * byte-identical across them — a suite synthesized with --jobs=4 serves
+ * a later serial query.
  */
 
 #ifndef LTS_SYNTH_SERVICE_HH
@@ -102,9 +102,9 @@ struct ShardProvenance
      * Content digest (16 hex digits) of the DRAT proof file this
      * shard's conclusion landed in, when the query ran with
      * options.proofDir and the shard was synthesized (not served from
-     * cache — cached shards carry no fresh proof). Under the
-     * incremental engine all same-size shards share one trace and so
-     * report the same digest. Empty otherwise.
+     * cache — cached shards carry no fresh proof). All same-size
+     * shards share one trace and so report the same digest. Empty
+     * otherwise, and always empty with resident encodings.
      */
     std::string proofDigest;
 };
@@ -150,12 +150,12 @@ struct ServiceConfig
     size_t cacheBudget = store::SuiteStore::kDefaultCacheBudget;
 
     /**
-     * Keep per-(base formula, size) encodings resident between
-     * queries and sweep misses on them serially — the daemon mode.
-     * When false, misses run through synthesizeShards, honoring
-     * the engine knobs (incremental, jobs, simplify) exactly as
-     * synthesizeAll would — the one-shot CLI mode. Suite bytes are
-     * identical either way.
+     * Keep each size's BaseEncoding resident between queries, keyed by
+     * base digest and options — the daemon mode. When false, each
+     * size's encoding is freed as soon as its sweep ends — the one-shot
+     * CLI mode. Both sweep misses through sweepSizes, one job per size
+     * (jobs honored); resident encodings never log proofs. Suite bytes
+     * are identical either way.
      */
     bool residentEncodings = false;
 };

@@ -8,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "common/pool.hh"
@@ -15,7 +16,6 @@
 #include "litmus/canon.hh"
 #include "mm/convert.hh"
 #include "rel/encoder.hh"
-#include "sat/clausebank.hh"
 #include "sat/dimacs.hh"
 #include "sat/drat.hh"
 #include "synth/minimality.hh"
@@ -28,23 +28,7 @@ using litmus::LitmusTest;
 namespace
 {
 
-/**
- * One shard of the workload: a labelled per-size query family.
- * formulaFor is the full criterion (asserted alone by the from-scratch
- * engine); layerFor is only its axiom-dependent part, layered by the
- * incremental engine over the shared base formula.
- */
-struct Track
-{
-    std::string label;
-    std::function<rel::FormulaPtr(size_t)> formulaFor;
-    std::function<rel::FormulaPtr(size_t)> layerFor;
-};
-
-/** The formula shared by every track at a given size (incremental). */
-using BaseFormulaFn = std::function<rel::FormulaPtr(size_t)>;
-
-/** Fold one job solver's SAT counters into the shared progress totals. */
+/** Fold one solver's SAT counters into the shared progress totals. */
 void
 accumulateSolverStats(SynthProgress *progress, const sat::SolverStats &stats)
 {
@@ -55,10 +39,6 @@ accumulateSolverStats(SynthProgress *progress, const sat::SolverStats &stats)
     progress->eliminatedVars.fetch_add(stats.eliminatedVars,
                                        std::memory_order_relaxed);
     progress->subsumedClauses.fetch_add(stats.subsumedClauses,
-                                        std::memory_order_relaxed);
-    progress->importedClauses.fetch_add(stats.importedClauses,
-                                        std::memory_order_relaxed);
-    progress->exportedClauses.fetch_add(stats.exportedClauses,
                                         std::memory_order_relaxed);
 }
 
@@ -116,12 +96,11 @@ validArrangements(const LitmusTest &test, bool by_full_key)
 }
 
 /**
- * Enumerate one track at one size on a prepared solver. The track's
- * criterion must already be active: asserted permanently (from-scratch)
- * or as a live fact layer (incremental). Blocking clauses go into a
- * fresh layer owned by this call, so witness-resolution solves — which
- * activate only @p witness_layers on top of the base facts — never see
- * them (a pinned representative's static part is typically itself a
+ * Enumerate one violation layer at one size on a prepared solver. The
+ * layer must already be live over the base encoding. Blocking clauses go
+ * into a fresh layer owned by this call, so witness-resolution solves —
+ * which activate only @p witness_layers on top of the base facts — never
+ * see them (a pinned representative's static part is typically itself a
  * blocked image). @p sbp_active says a symmetry-breaking layer is live:
  * enumeration then sees one model per isomorphism class, and this
  * function compensates by inserting every canonical key of the class
@@ -129,7 +108,7 @@ validArrangements(const LitmusTest &test, bool by_full_key)
  * byte-identical to a run without symmetry breaking.
  */
 ShardResult
-enumerateTrack(const mm::Model &model, rel::RelSolver &solver,
+enumerateLayer(const mm::Model &model, rel::RelSolver &solver,
                const std::string &shard_label,
                const std::vector<int> &block_vars,
                const std::vector<rel::FactHandle> &witness_layers,
@@ -347,291 +326,100 @@ installSymmetryBreaking(const mm::Model &model, rel::RelSolver &solver,
     return true;
 }
 
-/**
- * From-scratch engine: enumerate one (track, size) with a private solver.
- * With a clause bank, the axiom-independent base formula is asserted and
- * simplified first — giving every same-size shard a byte-identical
- * variable prefix — the solver joins the size's exchange family, and the
- * track's criterion goes in as a retractable layer on top. Without one,
- * the full criterion is a base fact, which lets simplification work
- * against the whole query. Both shapes activate the same constraint set
- * in every solve, so the enumerated suite is identical.
- */
-ShardResult
-runSizeJob(const mm::Model &model, const BaseFormulaFn &base,
-           const Track &track, int size, const SynthOptions &options,
-           sat::ClauseBank *bank)
-{
-    size_t n = static_cast<size_t>(size);
-    // Declared before the solver so the writer outlives it.
-    std::unique_ptr<sat::DratWriter> proof;
-    rel::RelSolver solver(model.vocab(), n);
-    if (!options.proofDir.empty()) {
-        proof = std::make_unique<sat::DratWriter>(
-            proofFilePath(options, model.name(), track.label, size),
-            options.proofText ? sat::DratFormat::Text
-                              : sat::DratFormat::Binary);
-        solver.setProof(proof.get());
-    }
-    if (options.conflictBudget)
-        solver.satSolver().setConflictBudget(options.conflictBudget);
-
-    std::vector<rel::FactHandle> witness_layers;
-    if (bank) {
-        solver.addBaseFact(base(n));
-        if (options.simplify)
-            solver.simplifyBase();
-        solver.connectBank(*bank, std::to_string(size));
-        witness_layers.push_back(solver.addFact(track.layerFor(n)));
-    } else {
-        solver.addBaseFact(track.formulaFor(n));
-        if (options.simplify)
-            solver.simplifyBase();
-    }
-    uint64_t sbp_clauses = 0;
-    bool sbp_active =
-        installSymmetryBreaking(model, solver, n, options, sbp_clauses);
-
-    std::vector<int> block_vars;
-    if (options.blockStaticOnly)
-        block_vars = model.staticVarIds();
-
-    ShardResult result =
-        enumerateTrack(model, solver, track.label, block_vars, witness_layers,
-                       sbp_active, options);
-    result.sbpClauses = sbp_clauses;
-    accumulateSolverStats(options.progress, solver.satSolver().stats());
-    return result;
-}
+/** The violation layer a sweep label stands for at size n. */
+using LayerFn =
+    std::function<rel::FormulaPtr(const std::string &label, size_t n)>;
 
 /**
- * Incremental engine: one solver per size. The base formula is asserted
- * once; each track's violation layer is added as a retractable fact,
- * enumerated with its blocking clauses guarded by the same layer, and
- * retracted before the next track — so learned clauses about the shared
- * encoding persist across the whole sweep while everything
- * track-specific dies with its layer. @p mask, when non-null, selects
- * which tracks to sweep (skipped tracks keep an empty result); each
- * track's result is independent of which others run, because every
- * track-specific clause dies with its layer.
- */
-std::vector<ShardResult>
-runIncrementalSizeJob(const mm::Model &model, const BaseFormulaFn &base,
-                      const std::vector<Track> &tracks, int size,
-                      const SynthOptions &options,
-                      const std::vector<char> *mask = nullptr)
-{
-    size_t n = static_cast<size_t>(size);
-    std::vector<ShardResult> out(tracks.size());
-    auto selected = [&](size_t ti) { return !mask || (*mask)[ti]; };
-
-    // One shared solver per size, so one proof file per size: each swept
-    // track contributes its own 'u' conclusion to the shared trace.
-    // Declared before the solver so the writer outlives it.
-    std::unique_ptr<sat::DratWriter> proof;
-    rel::RelSolver solver(model.vocab(), n);
-    if (!options.proofDir.empty()) {
-        proof = std::make_unique<sat::DratWriter>(
-            proofFilePath(options, model.name(), "", size),
-            options.proofText ? sat::DratFormat::Text
-                              : sat::DratFormat::Binary);
-        solver.setProof(proof.get());
-    }
-    solver.addBaseFact(base(n));
-    if (options.simplify)
-        solver.simplifyBase();
-    uint64_t sbp_clauses = 0;
-    bool sbp_active =
-        installSymmetryBreaking(model, solver, n, options, sbp_clauses);
-
-    std::vector<int> block_vars;
-    if (options.blockStaticOnly)
-        block_vars = model.staticVarIds();
-
-    // The SBP layer is shared by every track on this solver; attribute
-    // its clauses to the first swept track so per-size sums count them
-    // once.
-    bool attributed_sbp = false;
-    for (size_t ti = 0; ti < tracks.size(); ti++) {
-        if (!selected(ti))
-            continue;
-        rel::FactHandle layer = solver.addFact(tracks[ti].layerFor(n));
-        if (options.conflictBudget) {
-            // Re-arm: the budget bounds each (axiom, size) query family,
-            // not the lifetime of the shared solver.
-            solver.satSolver().setConflictBudget(options.conflictBudget);
-        }
-        out[ti] = enumerateTrack(model, solver, tracks[ti].label, block_vars,
-                                 {layer}, sbp_active, options);
-        out[ti].sbpClauses = attributed_sbp ? 0 : sbp_clauses;
-        attributed_sbp = true;
-        solver.retract(layer);
-    }
-
-    accumulateSolverStats(options.progress, solver.satSolver().stats());
-    return out;
-}
-
-/**
- * Run every selected shard job — inline for jobs <= 1, on a thread pool
- * otherwise — returning the raw per-(track, size) results. The
- * incremental engine shards per size (selected tracks swept on one
- * shared solver); the from-scratch engine shards per (track, size).
- * Each job owns its own RelSolver, so no SAT or relational state
- * crosses threads. Deselected shards are skipped entirely: no job is
- * queued and their result slots stay empty — the service layer fills
- * them from the suite store.
+ * The one synthesis loop behind sweepSizes and synthesizeUnionDirect:
+ * each sweep is one job that obtains its size's BaseEncoding (fresh, or
+ * the resident slot) and sweeps its labels' layers through it. Every
+ * job owns its encoding, so no SAT or relational state crosses threads.
  */
 std::vector<std::vector<ShardResult>>
-runShardTracks(const mm::Model &model, const BaseFormulaFn &base,
-               const std::vector<Track> &tracks, const SynthOptions &options,
-               const ShardSelector &selector)
+runSweeps(const mm::Model &model, const std::vector<SizeSweep> &sweeps,
+          const SynthOptions &options, const LayerFn &layer)
 {
-    int num_sizes = std::max(0, options.maxSize - options.minSize + 1);
-    std::vector<std::vector<ShardResult>> results(
-        tracks.size(), std::vector<ShardResult>(num_sizes));
-
-    // mask[si][ti]: sweep track ti at size minSize + si.
-    std::vector<std::vector<char>> mask(
-        static_cast<size_t>(num_sizes),
-        std::vector<char>(tracks.size(), 1));
-    if (selector) {
-        for (int si = 0; si < num_sizes; si++) {
-            for (size_t ti = 0; ti < tracks.size(); ti++) {
-                mask[si][ti] = selector(tracks[ti].label,
-                                        options.minSize + si);
-            }
-        }
+    if (!options.incremental) {
+        throw std::invalid_argument(
+            "synth: SynthOptions::incremental = false is no longer "
+            "supported; every sweep runs on per-size base encodings");
     }
-    auto sizeSelected = [&](int si) {
-        for (char m : mask[si]) {
-            if (m)
-                return true;
-        }
-        return false;
-    };
-
-    // Learnt-clause exchange between the from-scratch shards of each size
-    // (they assert the same base encoding, so clauses over it transfer).
-    // The incremental engine has nothing to pair up: one solver already
-    // sweeps every track at a size. The bank must outlive the pool.
-    std::unique_ptr<sat::ClauseBank> bank;
-    if (!options.incremental && options.shareClauses && tracks.size() > 1)
-        bank = std::make_unique<sat::ClauseBank>();
-
+    std::vector<std::vector<ShardResult>> results(sweeps.size());
     SynthProgress *progress = options.progress;
-    auto wrap = [&](auto &&body) {
+    if (progress) {
+        progress->jobsQueued.fetch_add(sweeps.size(),
+                                       std::memory_order_relaxed);
+    }
+    auto run = [&](size_t i) {
+        const SizeSweep &sweep = sweeps[i];
         if (progress)
             progress->jobsRunning.fetch_add(1, std::memory_order_relaxed);
-        body();
+        std::unique_ptr<BaseEncoding> fresh;
+        std::unique_ptr<BaseEncoding> &encoding =
+            sweep.resident ? *sweep.resident : fresh;
+        if (!encoding) {
+            encoding =
+                std::make_unique<BaseEncoding>(model, sweep.size, options);
+        }
+        size_t n = static_cast<size_t>(sweep.size);
+        for (const std::string &label : sweep.axioms) {
+            results[i].push_back(encoding->synthesizeLayer(
+                model, label, layer(label, n), options));
+        }
         if (progress) {
             progress->jobsRunning.fetch_sub(1, std::memory_order_relaxed);
             progress->jobsDone.fetch_add(1, std::memory_order_relaxed);
         }
     };
-    auto run_scratch = [&](size_t ti, int si) {
-        wrap([&] {
-            results[ti][si] = runSizeJob(model, base, tracks[ti],
-                                         options.minSize + si, options,
-                                         bank.get());
-        });
-    };
-    auto run_incremental = [&](int si) {
-        wrap([&] {
-            std::vector<ShardResult> per_track = runIncrementalSizeJob(
-                model, base, tracks, options.minSize + si, options,
-                &mask[static_cast<size_t>(si)]);
-            for (size_t ti = 0; ti < tracks.size(); ti++) {
-                if (mask[static_cast<size_t>(si)][ti])
-                    results[ti][si] = std::move(per_track[ti]);
-            }
-        });
-    };
-
-    uint64_t total_jobs = 0;
-    for (int si = 0; si < num_sizes; si++) {
-        if (options.incremental) {
-            total_jobs += sizeSelected(si) ? 1 : 0;
-        } else {
-            for (size_t ti = 0; ti < tracks.size(); ti++)
-                total_jobs += mask[si][ti] ? 1 : 0;
-        }
-    }
-    if (progress)
-        progress->jobsQueued.fetch_add(total_jobs,
-                                       std::memory_order_relaxed);
 
     unsigned threads = ThreadPool::resolveThreads(options.jobs);
-    bool serial = options.jobs == 1 || threads <= 1 || total_jobs <= 1;
-    if (options.incremental) {
-        if (serial) {
-            for (int si = 0; si < num_sizes; si++) {
-                if (sizeSelected(si))
-                    run_incremental(si);
-            }
-        } else {
-            ThreadPool pool(threads);
-            for (int si = 0; si < num_sizes; si++) {
-                if (sizeSelected(si))
-                    pool.submit(
-                        [&run_incremental, si] { run_incremental(si); });
-            }
-            pool.wait();
-        }
-    } else if (serial) {
-        for (size_t ti = 0; ti < tracks.size(); ti++) {
-            for (int si = 0; si < num_sizes; si++) {
-                if (mask[si][ti])
-                    run_scratch(ti, si);
-            }
-        }
+    if (options.jobs == 1 || threads <= 1 || sweeps.size() <= 1) {
+        for (size_t i = 0; i < sweeps.size(); i++)
+            run(i);
     } else {
         ThreadPool pool(threads);
-        for (size_t ti = 0; ti < tracks.size(); ti++) {
-            for (int si = 0; si < num_sizes; si++) {
-                if (mask[si][ti])
-                    pool.submit(
-                        [&run_scratch, ti, si] { run_scratch(ti, si); });
-            }
-        }
+        for (size_t i = 0; i < sweeps.size(); i++)
+            pool.submit([&run, i] { run(i); });
         pool.wait();
     }
     return results;
 }
 
-/** runShardTracks plus the per-track merge into Suites. */
-std::vector<Suite>
-runSynthesisTracks(const mm::Model &model, const BaseFormulaFn &base,
-                   const std::vector<Track> &tracks,
-                   const SynthOptions &options)
+/** One sweep per size of the options' range, each over @p labels. */
+std::vector<SizeSweep>
+everySize(const SynthOptions &options, const std::vector<std::string> &labels)
 {
-    std::vector<std::vector<ShardResult>> results =
-        runShardTracks(model, base, tracks, options, nullptr);
+    std::vector<SizeSweep> sweeps;
+    for (int size = options.minSize; size <= options.maxSize; size++)
+        sweeps.push_back(SizeSweep{size, labels, nullptr});
+    return sweeps;
+}
+
+/** Merge per-size sweep results into one Suite per label. */
+std::vector<Suite>
+assembleSweeps(const mm::Model &model, const std::vector<std::string> &labels,
+               std::vector<std::vector<ShardResult>> by_size, int min_size)
+{
     std::vector<Suite> suites;
-    suites.reserve(tracks.size());
-    for (size_t ti = 0; ti < tracks.size(); ti++) {
-        suites.push_back(assembleShardSuite(model, tracks[ti].label,
-                                            results[ti], options.minSize));
+    for (size_t li = 0; li < labels.size(); li++) {
+        std::vector<ShardResult> shards;
+        for (auto &size_results : by_size)
+            shards.push_back(std::move(size_results[li]));
+        suites.push_back(
+            assembleShardSuite(model, labels[li], shards, min_size));
     }
     return suites;
 }
 
-BaseFormulaFn
-baseFormula(const mm::Model &model)
+/** Every axiom of the model, in declaration order. */
+std::vector<std::string>
+axiomNames(const mm::Model &model)
 {
-    return [&model](size_t n) { return minimalityBase(model, n); };
-}
-
-Track
-axiomTrack(const mm::Model &model, const std::string &axiom_name)
-{
-    return Track{axiom_name,
-                 [&model, axiom_name](size_t n) {
-                     return minimalityFormula(model, axiom_name, n);
-                 },
-                 [&model, axiom_name](size_t n) {
-                     return axiomViolation(model, axiom_name, n);
-                 }};
+    std::vector<std::string> names;
+    for (const auto &axiom : model.axioms())
+        names.push_back(axiom.name);
+    return names;
 }
 
 } // namespace
@@ -640,20 +428,24 @@ Suite
 synthesizeAxiom(const mm::Model &model, const std::string &axiom_name,
                 const SynthOptions &options)
 {
-    std::vector<Track> tracks = {axiomTrack(model, axiom_name)};
-    return runSynthesisTracks(model, baseFormula(model), tracks, options)[0];
+    std::vector<std::string> labels = {axiom_name};
+    return assembleSweeps(model, labels,
+                          sweepSizes(model, everySize(options, labels),
+                                     options),
+                          options.minSize)[0];
 }
 
 Suite
 synthesizeUnionDirect(const mm::Model &model, const SynthOptions &options)
 {
-    std::vector<Track> tracks = {
-        Track{"union-direct",
-              [&model](size_t n) {
-                  return minimalityFormulaUnion(model, n);
-              },
-              [&model](size_t n) { return anyAxiomViolation(model, n); }}};
-    return runSynthesisTracks(model, baseFormula(model), tracks, options)[0];
+    std::vector<std::string> labels = {"union-direct"};
+    auto any_violation = [&model](const std::string &, size_t n) {
+        return anyAxiomViolation(model, n);
+    };
+    return assembleSweeps(model, labels,
+                          runSweeps(model, everySize(options, labels),
+                                    options, any_violation),
+                          options.minSize)[0];
 }
 
 Suite
@@ -694,14 +486,22 @@ unionSuites(const std::vector<Suite> &suites, const SynthOptions &options)
 std::vector<Suite>
 synthesizeAll(const mm::Model &model, const SynthOptions &options)
 {
-    std::vector<Track> tracks;
-    tracks.reserve(model.axioms().size());
-    for (const auto &axiom : model.axioms())
-        tracks.push_back(axiomTrack(model, axiom.name));
-    std::vector<Suite> suites =
-        runSynthesisTracks(model, baseFormula(model), tracks, options);
+    std::vector<std::string> labels = axiomNames(model);
+    std::vector<Suite> suites = assembleSweeps(
+        model, labels, sweepSizes(model, everySize(options, labels), options),
+        options.minSize);
     suites.push_back(unionSuites(suites, options));
     return suites;
+}
+
+std::vector<std::vector<ShardResult>>
+sweepSizes(const mm::Model &model, const std::vector<SizeSweep> &sweeps,
+           const SynthOptions &options)
+{
+    auto violation = [&model](const std::string &axiom, size_t n) {
+        return axiomViolation(model, axiom, n);
+    };
+    return runSweeps(model, sweeps, options, violation);
 }
 
 SynthProgressSnapshot
@@ -717,8 +517,6 @@ SynthProgress::snapshot() const
     s.sbpClauses = sbpClauses.load(std::memory_order_relaxed);
     s.eliminatedVars = eliminatedVars.load(std::memory_order_relaxed);
     s.subsumedClauses = subsumedClauses.load(std::memory_order_relaxed);
-    s.importedClauses = importedClauses.load(std::memory_order_relaxed);
-    s.exportedClauses = exportedClauses.load(std::memory_order_relaxed);
     return s;
 }
 
@@ -734,8 +532,6 @@ SynthProgress::reset()
     sbpClauses.store(0, std::memory_order_relaxed);
     eliminatedVars.store(0, std::memory_order_relaxed);
     subsumedClauses.store(0, std::memory_order_relaxed);
-    importedClauses.store(0, std::memory_order_relaxed);
-    exportedClauses.store(0, std::memory_order_relaxed);
 }
 
 Suite
@@ -773,28 +569,12 @@ assembleShardSuite(const mm::Model &model, const std::string &label,
 }
 
 std::string
-proofFilePath(const SynthOptions &options, const std::string &model,
-              const std::string &axiom, int size)
+proofFilePath(const SynthOptions &options, const std::string &model, int size)
 {
     if (options.proofDir.empty())
         return std::string();
-    std::string name = model;
-    if (!axiom.empty())
-        name += "." + axiom;
-    name += ".n" + std::to_string(size) + ".drat";
-    return options.proofDir + "/" + name;
-}
-
-std::vector<std::vector<ShardResult>>
-synthesizeShards(const mm::Model &model, const SynthOptions &options,
-                 const ShardSelector &selector)
-{
-    std::vector<Track> tracks;
-    tracks.reserve(model.axioms().size());
-    for (const auto &axiom : model.axioms())
-        tracks.push_back(axiomTrack(model, axiom.name));
-    return runShardTracks(model, baseFormula(model), tracks, options,
-                          selector);
+    return options.proofDir + "/" + model + ".n" + std::to_string(size) +
+           ".drat";
 }
 
 // --- BaseEncoding: a resident per-(model, size) encoding -------------------
@@ -804,6 +584,13 @@ struct BaseEncoding::Impl
     Impl(const mm::Model &model, int size, const SynthOptions &options)
         : size(size), solver(model.vocab(), static_cast<size_t>(size))
     {
+        if (!options.proofDir.empty()) {
+            proof = std::make_unique<sat::DratWriter>(
+                proofFilePath(options, model.name(), size),
+                options.proofText ? sat::DratFormat::Text
+                                  : sat::DratFormat::Binary);
+            solver.setProof(proof.get());
+        }
         solver.addBaseFact(minimalityBase(model, static_cast<size_t>(size)));
         if (options.simplify)
             solver.simplifyBase();
@@ -811,10 +598,20 @@ struct BaseEncoding::Impl
             model, solver, static_cast<size_t>(size), options, sbpClauses);
         if (options.blockStaticOnly)
             blockVars = model.staticVarIds();
+        // Construction-time simplification is reported here, once; every
+        // swept layer then reports only its own delta from this snapshot.
         lastStats = solver.satSolver().stats();
+        if (options.progress) {
+            options.progress->eliminatedVars.fetch_add(
+                lastStats.eliminatedVars, std::memory_order_relaxed);
+            options.progress->subsumedClauses.fetch_add(
+                lastStats.subsumedClauses, std::memory_order_relaxed);
+        }
     }
 
     int size;
+    // Declared before the solver so the writer outlives it.
+    std::unique_ptr<sat::DratWriter> proof;
     rel::RelSolver solver;
     bool sbpActive = false;
     uint64_t sbpClauses = 0;
@@ -842,45 +639,42 @@ BaseEncoding::synthesizeShard(const mm::Model &model,
                               const std::string &axiom_name,
                               const SynthOptions &options)
 {
-    size_t n = static_cast<size_t>(impl->size);
+    return synthesizeLayer(
+        model, axiom_name,
+        axiomViolation(model, axiom_name, static_cast<size_t>(impl->size)),
+        options);
+}
+
+ShardResult
+BaseEncoding::synthesizeLayer(const mm::Model &model, const std::string &label,
+                              const rel::FormulaPtr &violation,
+                              const SynthOptions &options)
+{
     rel::RelSolver &solver = impl->solver;
-    rel::FactHandle layer =
-        solver.addFact(axiomViolation(model, axiom_name, n));
-    if (options.conflictBudget)
+    rel::FactHandle layer = solver.addFact(violation);
+    if (options.conflictBudget) {
+        // Re-arm: the budget bounds each (layer, size) query family, not
+        // the lifetime of the shared solver.
         solver.satSolver().setConflictBudget(options.conflictBudget);
-    if (options.progress) {
-        options.progress->jobsQueued.fetch_add(1, std::memory_order_relaxed);
-        options.progress->jobsRunning.fetch_add(1, std::memory_order_relaxed);
     }
-    // The resident encoding is proof-less by design (options.proofDir is
-    // ignored here): its solver lives across requests, so one file could
-    // not delimit a shard's claim. enumerateTrack's conclusion hook
-    // no-ops without a writer.
-    ShardResult result =
-        enumerateTrack(model, solver, axiom_name, impl->blockVars, {layer},
-                       impl->sbpActive, options);
+    ShardResult result = enumerateLayer(model, solver, label, impl->blockVars,
+                                        {layer}, impl->sbpActive, options);
     solver.retract(layer);
-    // Same attribution rule as the incremental sweep: the resident SBP
-    // layer's clauses are counted once, by the first shard swept here.
+    // The SBP layer is shared by every layer swept here; its clauses are
+    // counted once, by the first, so per-size sums count them once.
     result.sbpClauses = impl->sbpAttributed ? 0 : impl->sbpClauses;
     impl->sbpAttributed = true;
 
-    // The resident solver's counters are cumulative across shards (and
-    // across requests); report only this sweep's delta.
+    // The solver's counters are cumulative across layers (and, resident,
+    // across requests); report only this layer's delta.
     sat::SolverStats now = solver.satSolver().stats();
     sat::SolverStats delta = now;
     delta.conflicts -= impl->lastStats.conflicts;
     delta.restarts -= impl->lastStats.restarts;
     delta.eliminatedVars -= impl->lastStats.eliminatedVars;
     delta.subsumedClauses -= impl->lastStats.subsumedClauses;
-    delta.importedClauses -= impl->lastStats.importedClauses;
-    delta.exportedClauses -= impl->lastStats.exportedClauses;
     impl->lastStats = now;
     accumulateSolverStats(options.progress, delta);
-    if (options.progress) {
-        options.progress->jobsRunning.fetch_sub(1, std::memory_order_relaxed);
-        options.progress->jobsDone.fetch_add(1, std::memory_order_relaxed);
-    }
     return result;
 }
 

@@ -20,18 +20,18 @@
  * symmetry and blocking layers, making the emitted bytes a pure
  * function of the class rather than of enumeration order.
  *
- * Work sharding: the default *incremental* engine runs one job per test
- * size, sweeping every axiom over a single shared encoding — the
- * axiom-independent part of the criterion (well-formedness plus the
- * relaxation conjunct) is asserted once as a base fact, and each axiom's
- * violation becomes a retractable fact layer (rel::FactHandle) whose
- * blocking clauses and learned clauses are retired when the sweep moves
- * on. The from-scratch engine (SynthOptions::incremental = false) keeps
- * one private solver per (axiom, size) pair. Either way jobs run on a
- * thread pool when SynthOptions::jobs != 1 and results are merged in a
- * fixed order — axiom declaration order, then size, then canonical
- * serialization — so the output is byte-identical to a serial run
- * regardless of completion order.
+ * One engine: every entry point — synthesizeAll, synthesizeAxiom,
+ * synthesizeUnionDirect and the service (one-shot or resident) — builds
+ * one BaseEncoding per test size and sweeps the selected violation
+ * layers through it. The axiom-independent part of the criterion
+ * (well-formedness plus the relaxation conjunct) is asserted,
+ * simplified and symmetry-broken once per size; each axiom's violation
+ * becomes a retractable fact layer (rel::FactHandle) whose blocking and
+ * learned clauses are retired when the sweep moves on. Each size is one
+ * job; jobs run on a thread pool when SynthOptions::jobs != 1 and
+ * results are merged in a fixed order — axiom declaration order, then
+ * size, then canonical serialization — so the output is byte-identical
+ * to a serial run regardless of completion order.
  */
 
 #ifndef LTS_SYNTH_SYNTHESIZER_HH
@@ -39,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,6 +47,7 @@
 #include "litmus/canon.hh"
 #include "litmus/test.hh"
 #include "mm/model.hh"
+#include "rel/formula.hh"
 
 namespace lts::synth
 {
@@ -61,9 +61,7 @@ namespace lts::synth
  */
 struct SynthProgressSnapshot
 {
-    uint64_t jobsQueued = 0;  ///< shard jobs submitted (per size
-                              ///< incremental, per (axiom, size)
-                              ///< from-scratch / service re-synthesis)
+    uint64_t jobsQueued = 0;  ///< size jobs submitted (one per swept size)
     uint64_t jobsRunning = 0; ///< jobs executing at snapshot time
     uint64_t jobsDone = 0;    ///< jobs finished
     uint64_t conflicts = 0;   ///< SAT conflicts, all jobs
@@ -72,8 +70,6 @@ struct SynthProgressSnapshot
     uint64_t sbpClauses = 0;  ///< symmetry-breaking clauses emitted
     uint64_t eliminatedVars = 0;  ///< vars removed by simplify
     uint64_t subsumedClauses = 0; ///< clauses removed by simplify
-    uint64_t importedClauses = 0; ///< learnt clauses adopted from siblings
-    uint64_t exportedClauses = 0; ///< learnt clauses published to siblings
 };
 
 /**
@@ -85,9 +81,8 @@ struct SynthProgressSnapshot
  */
 struct SynthProgress
 {
-    std::atomic<uint64_t> jobsQueued{0};  ///< shard jobs submitted (per size
-                                          ///< incremental, per (axiom, size)
-                                          ///< from-scratch)
+    std::atomic<uint64_t> jobsQueued{0};  ///< size jobs submitted (one per
+                                          ///< swept size)
     std::atomic<uint64_t> jobsRunning{0}; ///< jobs currently executing
     std::atomic<uint64_t> jobsDone{0};    ///< jobs finished
     std::atomic<uint64_t> conflicts{0};   ///< SAT conflicts, all jobs
@@ -97,10 +92,6 @@ struct SynthProgress
                                           ///< emitted, all solvers
     std::atomic<uint64_t> eliminatedVars{0};  ///< vars removed by simplify
     std::atomic<uint64_t> subsumedClauses{0}; ///< clauses removed by simplify
-    std::atomic<uint64_t> importedClauses{0}; ///< learnt clauses adopted from
-                                              ///< sibling shards
-    std::atomic<uint64_t> exportedClauses{0}; ///< learnt clauses published to
-                                              ///< sibling shards
 
     /** Copy every counter into a plain-integer snapshot. */
     SynthProgressSnapshot snapshot() const;
@@ -133,19 +124,17 @@ struct SynthOptions
     bool symmetryBreaking = true;
 
     /**
-     * Use the incremental engine: one solver per size, base encoding
-     * asserted once, per-axiom violations swept as retractable fact
-     * layers. false rebuilds a private solver per (axiom, size) — the
-     * from-scratch baseline the benchmarks compare against.
+     * Retired: synthesis always sweeps per-size base encodings. Kept
+     * only for callers that still assign it; every sweep throws
+     * std::invalid_argument when it is false.
      */
     bool incremental = true;
 
     /**
-     * Worker threads for the sharded engine: one job per size
-     * (incremental) or per (axiom, size) pair (from-scratch), each job
-     * with a private solver. 1 runs jobs inline on the caller thread;
-     * 0 uses all hardware threads. Results are merged deterministically,
-     * so output is byte-identical for any value.
+     * Worker threads: one job per size, each with its own BaseEncoding.
+     * 1 runs jobs inline on the caller thread; 0 uses all hardware
+     * threads. Results are merged deterministically, so output is
+     * byte-identical for any value.
      */
     int jobs = 1;
 
@@ -160,23 +149,11 @@ struct SynthOptions
     bool simplify = true;
 
     /**
-     * Exchange learnt clauses between the from-scratch engine's per-axiom
-     * shards of the same size through a sat::ClauseBank: the shards share
-     * a byte-identical base encoding, so clauses over it transfer
-     * soundly. Applies even at jobs = 1 (sequential shards still feed
-     * later ones). The incremental engine ignores the knob — it already
-     * shares everything through its one solver per size. Suites are
-     * byte-identical with sharing on or off.
-     */
-    bool shareClauses = true;
-
-    /**
      * When non-empty, every enumeration solver logs a DRAT-style proof
      * trace (see sat/drat.hh) into this directory, and each shard that
      * exhausts its enumeration records its final Unsat answer as a
-     * checkable conclusion. The from-scratch engine writes one file per
-     * (axiom, size); the incremental engine writes one file per size
-     * carrying one conclusion per swept axiom (see proofFilePath).
+     * checkable conclusion. Each size's BaseEncoding writes one file,
+     * carrying one conclusion per swept layer (see proofFilePath).
      * Probe solves (witness re-derivation) are logged but never
      * concluded. A proof knob is an engine knob: suites are
      * byte-identical with logging on or off, and the store/service
@@ -243,34 +220,12 @@ struct ShardResult
 };
 
 /**
- * Which (axiom, size) shards to synthesize; shards the selector rejects
- * are skipped entirely (no job queued, result left empty). A null
- * selector keeps every shard. The service layer uses this to
- * re-synthesize only the shards whose criterion formulas changed.
- */
-using ShardSelector = std::function<bool(const std::string &axiom, int size)>;
-
-/**
- * The proof file a shard's trace lands in under options.proofDir: the
- * from-scratch engine gives every (axiom, size) pair its own solver and
- * file, "<model>.<axiom>.n<size>.drat"; the incremental engine sweeps
- * all axioms of a size over one solver and so shares one
- * "<model>.n<size>.drat" (pass an empty @p axiom). Returns an empty
- * string when options.proofDir is empty.
+ * The proof file a size's BaseEncoding logs into under options.proofDir:
+ * "<model>.n<size>.drat", one per size, carrying one conclusion per
+ * swept layer. Returns an empty string when options.proofDir is empty.
  */
 std::string proofFilePath(const SynthOptions &options,
-                          const std::string &model, const std::string &axiom,
-                          int size);
-
-/**
- * Synthesize per-(axiom, size) shards for every axiom of the model:
- * result[a][s] is axiom a (declaration order) at size minSize + s.
- * Scheduling follows the options (engine, jobs) exactly as
- * synthesizeAll — this *is* synthesizeAll minus the merge.
- */
-std::vector<std::vector<ShardResult>>
-synthesizeShards(const mm::Model &model, const SynthOptions &options,
-                 const ShardSelector &selector = nullptr);
+                          const std::string &model, int size);
 
 /**
  * Deterministic merge of one axiom's per-size shards into a Suite:
@@ -283,20 +238,25 @@ Suite assembleShardSuite(const mm::Model &model, const std::string &label,
                          int min_size);
 
 /**
- * A resident per-(model, size) base encoding: the axiom-independent
- * criterion asserted and simplified once, symmetry breaking installed,
- * ready to sweep axiom shards on demand. This is the unit ltsd keeps
- * hot across requests — re-synthesizing one edited axiom's shard skips
- * the encoding build entirely. Not thread-safe; one solver, one caller
- * at a time. Shard output is byte-identical to a fresh engine run (the
- * enumeration already pins class-canonical representatives, so learned
- * state never leaks into the bytes).
+ * A per-(model, size) base encoding: the axiom-independent criterion
+ * asserted and simplified once, symmetry breaking installed, ready to
+ * sweep violation layers. Every synthesis path sweeps these; one-shot
+ * queries free each one when its size is done, while ltsd keeps them
+ * hot across requests, so re-synthesizing one edited axiom's shard
+ * skips the encoding build entirely. Not thread-safe; one solver, one
+ * caller at a time. Shard output is a pure function of the layer (the
+ * enumeration pins class-canonical representatives, so learned state
+ * never leaks into the bytes).
  *
  * No reference to the construction-time Model is retained: the sweep
  * takes the model by argument, so a daemon may keep the encoding hot
  * across model *edits* as long as the edited model's minimalityBase at
  * this size renders identically (the service layer checks exactly that
  * digest before reusing one).
+ *
+ * With options.proofDir set at construction the encoding owns a proof
+ * writer for proofFilePath(options, model, size), and every layer swept
+ * through it concludes there.
  */
 class BaseEncoding
 {
@@ -308,13 +268,23 @@ class BaseEncoding
     BaseEncoding &operator=(const BaseEncoding &) = delete;
 
     /**
-     * Enumerate one axiom's shard on the resident encoding. @p model
-     * must have the same vocabulary and minimalityBase rendering as the
+     * Enumerate one axiom's shard on the encoding. @p model must have
+     * the same vocabulary and minimalityBase rendering as the
      * construction-time model (it may be a different instance, e.g.
      * after an axiom-predicate edit that set relaxedPred explicitly).
      */
     ShardResult synthesizeShard(const mm::Model &model,
                                 const std::string &axiom_name,
+                                const SynthOptions &options);
+
+    /**
+     * Enumerate the shard of an arbitrary violation layer, labelled
+     * @p label in proofs and DIMACS dumps. synthesizeShard passes one
+     * axiom's violation; synthesizeUnionDirect passes any axiom's.
+     */
+    ShardResult synthesizeLayer(const mm::Model &model,
+                                const std::string &label,
+                                const rel::FormulaPtr &violation,
                                 const SynthOptions &options);
 
     int size() const;
@@ -323,6 +293,32 @@ class BaseEncoding
     struct Impl;
     std::unique_ptr<Impl> impl;
 };
+
+/** One size's share of a sweep: which axioms, and where the encoding lives. */
+struct SizeSweep
+{
+    int size = 0;
+    std::vector<std::string> axioms; ///< swept in this order
+
+    /**
+     * Null: build the size's encoding for this sweep and free it as soon
+     * as the size is done (one-shot queries). Otherwise build into
+     * *resident when it is empty and leave it there for later sweeps
+     * (ltsd). A job touches only its own slot, so callers create the
+     * slots before the sweep, on their own thread.
+     */
+    std::unique_ptr<BaseEncoding> *resident = nullptr;
+};
+
+/**
+ * Run each size's sweep as one job — inline when options.jobs == 1, on a
+ * thread pool otherwise. result[i][k] is sweeps[i].axioms[k] at
+ * sweeps[i].size. Every synthesis path ends here; it counts one job per
+ * sweep in options.progress.
+ */
+std::vector<std::vector<ShardResult>>
+sweepSizes(const mm::Model &model, const std::vector<SizeSweep> &sweeps,
+           const SynthOptions &options);
 
 /** Synthesize the suite for one axiom. */
 Suite synthesizeAxiom(const mm::Model &model, const std::string &axiom_name,

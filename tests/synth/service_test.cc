@@ -193,13 +193,45 @@ TEST_F(ServiceTest, EditingOneAxiomResynthesizesOnlyItsShards)
     EXPECT_EQ(after.suiteDigest, before.suiteDigest);
 }
 
+TEST_F(ServiceTest, ColdAndResidentQueriesReportTheSameEffort)
+{
+    // One-shot and resident queries sweep the same per-size encodings,
+    // so a resident query must report the simplification done while
+    // building them, and one job per swept size, exactly as a cold one.
+    // Pool jobs build the resident slots (the TSan job runs this).
+    synth::SuiteRequest request;
+    request.model = "tso";
+    request.maxSize = 4;
+    request.options.jobs = 3;
+
+    synth::Service cold_service;
+    synth::SuiteResult cold = cold_service.query(request);
+    synth::ServiceConfig resident_config;
+    resident_config.residentEncodings = true;
+    synth::Service resident_service(resident_config);
+    synth::SuiteResult resident = resident_service.query(request);
+
+    EXPECT_EQ(resident.suiteDigest, cold.suiteDigest);
+    EXPECT_GT(cold.progress.eliminatedVars, 0u);
+    EXPECT_GT(cold.progress.subsumedClauses, 0u);
+    EXPECT_EQ(resident.progress.eliminatedVars, cold.progress.eliminatedVars);
+    EXPECT_EQ(resident.progress.subsumedClauses,
+              cold.progress.subsumedClauses);
+    const uint64_t n_sizes =
+        static_cast<uint64_t>(request.maxSize - request.options.minSize + 1);
+    EXPECT_EQ(cold.progress.jobsQueued, n_sizes);
+    EXPECT_EQ(resident.progress.jobsQueued, cold.progress.jobsQueued);
+    EXPECT_EQ(resident.progress.conflicts, cold.progress.conflicts);
+    EXPECT_EQ(resident.progress.instances, cold.progress.instances);
+}
+
 TEST_F(ServiceTest, OptionsDigestIgnoresEngineKnobs)
 {
     synth::SynthOptions semantic;
     synth::SynthOptions engine = semantic;
     // Engine knobs: byte-identical output by contract, so repeat queries
     // under a different execution strategy still hit.
-    engine.incremental = !engine.incremental;
+    engine.simplify = !engine.simplify;
     engine.jobs = 7;
     engine.symmetryBreaking = !engine.symmetryBreaking;
     EXPECT_EQ(synth::optionsDigest(semantic), synth::optionsDigest(engine));
@@ -241,7 +273,7 @@ TEST_F(ServiceTest, RequestPayloadRoundTrips)
     request.options.minSize = 3;
     request.options.useCanon = false;
     request.options.jobs = 4;
-    request.options.incremental = false;
+    request.options.simplify = false;
     request.options.maxTestsPerSize = 17;
 
     synth::SuiteRequest back =
@@ -252,7 +284,7 @@ TEST_F(ServiceTest, RequestPayloadRoundTrips)
     EXPECT_EQ(back.options.minSize, request.options.minSize);
     EXPECT_EQ(back.options.useCanon, request.options.useCanon);
     EXPECT_EQ(back.options.jobs, request.options.jobs);
-    EXPECT_EQ(back.options.incremental, request.options.incremental);
+    EXPECT_EQ(back.options.simplify, request.options.simplify);
     EXPECT_EQ(back.options.maxTestsPerSize, request.options.maxTestsPerSize);
 }
 

@@ -2,8 +2,10 @@
  * @file
  * Suite-equivalence tests for in-solver symmetry breaking: for every
  * registered model, the synthesized suites must be byte-identical with
- * SBP on, SBP off, and under both engines — SBP may only change how
- * much raw enumeration happens, never what is emitted. This is the
+ * SBP on, SBP off, and whether the engine runs one-shot (each size's
+ * encoding freed after its sweep) or resident (encodings kept by the
+ * service, as ltsd does) — SBP may only change how much raw enumeration
+ * happens, never what is emitted. This is the
  * determinism contract the BENCH_*.json suiteDigest field asserts in
  * CI, checked here at the library level.
  */
@@ -13,6 +15,7 @@
 #include "litmus/canon.hh"
 #include "mm/registry.hh"
 #include "synth/options.hh"
+#include "synth/service.hh"
 #include "synth/synthesizer.hh"
 
 namespace lts::synth
@@ -44,10 +47,17 @@ struct RunResult
 };
 
 RunResult
-run(const mm::Model &model, SynthOptions opt, bool sbp, bool incremental)
+run(const mm::Model &model, SynthOptions opt, bool sbp, bool resident = false)
 {
     opt.symmetryBreaking = sbp;
-    opt.incremental = incremental;
+    if (resident) {
+        SuiteRequest request{model.name(), opt.maxSize, opt, ""};
+        ServiceConfig config;
+        config.residentEncodings = true;
+        Service service(config);
+        SuiteResult result = service.query(model, request);
+        return {suiteKey(result.suites), result.progress.instances};
+    }
     SynthProgress progress;
     opt.progress = &progress;
     auto suites = synthesizeAll(model, opt);
@@ -62,14 +72,14 @@ checkModel(const std::string &name, int max_size)
     opt.minSize = 2;
     opt.maxSize = max_size;
 
-    RunResult with_sbp = run(*model, opt, true, true);
-    RunResult without = run(*model, opt, false, true);
-    RunResult scratch = run(*model, opt, true, false);
+    RunResult with_sbp = run(*model, opt, true);
+    RunResult without = run(*model, opt, false);
+    RunResult resident = run(*model, opt, true, true);
 
     EXPECT_EQ(with_sbp.key, without.key)
         << name << ": SBP on/off suites differ";
-    EXPECT_EQ(with_sbp.key, scratch.key)
-        << name << ": incremental/from-scratch suites differ";
+    EXPECT_EQ(with_sbp.key, resident.key)
+        << name << ": one-shot/resident suites differ";
     EXPECT_LE(with_sbp.rawInstances, without.rawInstances)
         << name << ": SBP enumerated more raw instances than no-SBP";
 }
@@ -101,8 +111,8 @@ TEST(SynthSymmetryTest, SbpActuallyPrunesAtSizeFour)
     SynthOptions opt;
     opt.minSize = 2;
     opt.maxSize = 4;
-    RunResult with_sbp = run(*tso, opt, true, true);
-    RunResult without = run(*tso, opt, false, true);
+    RunResult with_sbp = run(*tso, opt, true);
+    RunResult without = run(*tso, opt, false);
     EXPECT_LT(with_sbp.rawInstances, without.rawInstances);
 }
 
@@ -122,8 +132,8 @@ TEST(SynthSymmetryTest, AblationsIdenticalAcrossSbp)
         } else {
             opt.blockStaticOnly = false;
         }
-        RunResult with_sbp = run(*tso, opt, true, true);
-        RunResult without = run(*tso, opt, false, true);
+        RunResult with_sbp = run(*tso, opt, true);
+        RunResult without = run(*tso, opt, false);
         EXPECT_EQ(with_sbp.key, without.key) << "ablation mode " << mode;
         EXPECT_LE(with_sbp.rawInstances, without.rawInstances)
             << "ablation mode " << mode;
