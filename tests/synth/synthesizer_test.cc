@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "litmus/canon.hh"
 #include "litmus/print.hh"
@@ -227,8 +229,11 @@ TEST(SynthesizerTest, MaxTestsPerSizeCaps)
     EXPECT_EQ(suite.tests.size(), 2u);
 }
 
+// The model name is a std::string so the printed parameter, and with it
+// the test's name, is the same on every run; a `const char *` prints its
+// address.
 class CrossEngineTest
-    : public ::testing::TestWithParam<std::tuple<const char *, int>>
+    : public ::testing::TestWithParam<std::tuple<std::string, int>>
 {
 };
 
