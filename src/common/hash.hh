@@ -2,7 +2,8 @@
  * @file
  * Small hashing helpers shared across the project.
  *
- * The canonicalizer and the hash-consed gate layer both need stable,
+ * The canonicalizer, the hash-consed gate layer and the structural
+ * hashes of relational nodes (the cache keys) all need stable,
  * well-mixed 64-bit hashes; we use a splitmix64-style mixer combined in
  * a boost-like fold so hashes are reproducible across runs and platforms.
  */

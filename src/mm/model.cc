@@ -93,14 +93,8 @@ Axiom &
 Model::axiomMut(const std::string &name)
 {
     for (auto &a : axiomList) {
-        if (a.name == name) {
-            // The caller may swap predicates through this reference at
-            // any later point, so memoization is permanently unsound for
-            // this model — not just stale now.
-            digestMemoDisabled = true;
-            digestMemo.clear();
+        if (a.name == name)
             return a;
-        }
     }
     throw std::out_of_range("model " + modelName + " has no axiom " + name);
 }
@@ -108,18 +102,15 @@ Model::axiomMut(const std::string &name)
 std::string
 Model::digest() const
 {
-    if (!digestMemo.empty())
-        return digestMemo;
     // The digest covers everything a formula can observe about the
-    // definition, rendered at two probe sizes: formulas are functions of
-    // n, and n = 2 alone can hide size-dependent structure (closures over
-    // constants, the index order) that n = 3 exposes. Rendering via
-    // toString makes the digest a pure function of the definition —
-    // independent of pointer values, process layout, or build — at the
-    // cost of being conservative: two syntactically different but
-    // equivalent predicates hash apart and merely miss the cache.
+    // definition, built at two probe sizes: formulas are functions of n,
+    // and n = 2 alone can hide size-dependent structure (closures over
+    // constants, the index order) that n = 3 exposes. Root structural
+    // hashes make it a pure function of the definition, at the cost of
+    // being conservative: two syntactically different but equivalent
+    // predicates hash apart and merely miss the cache.
     uint64_t h = hashInit();
-    h = hashCombine(h, std::string_view("lts-model-v1"));
+    h = hashCombine(h, std::string_view("lts-model-v2"));
     h = hashCombine(h, modelName);
     for (bool flag : {feats.fences, feats.deps, feats.rmw,
                       feats.acqRelAccess, feats.scAccess, feats.acqRelFence,
@@ -134,15 +125,13 @@ Model::digest() const
         h = hashCombine(h, static_cast<uint64_t>(n));
         for (const auto &fact : wellFormedFacts(n)) {
             h = hashCombine(h, fact.label);
-            h = hashCombine(h, fact.formula->toString());
+            h = hashCombine(h, fact.formula->hash);
         }
         for (const auto &a : axiomList) {
             h = hashCombine(h, a.name);
-            h = hashCombine(h, a.pred(*this, baseEnv, n)->toString());
-            if (a.relaxedPred) {
-                h = hashCombine(h,
-                                a.relaxedPred(*this, baseEnv, n)->toString());
-            }
+            h = hashCombine(h, a.pred(*this, baseEnv, n)->hash);
+            if (a.relaxedPred)
+                h = hashCombine(h, a.relaxedPred(*this, baseEnv, n)->hash);
         }
         for (const auto &r : relaxList) {
             h = hashCombine(h, toString(r.tag));
@@ -152,23 +141,19 @@ Model::digest() const
             h = hashCombine(h, r.demoteCarrier);
             for (size_t e = 0; e < n; e++) {
                 ExprPtr ev = singleton(e, n);
-                h = hashCombine(h, r.applies(baseEnv, ev, n)->toString());
+                h = hashCombine(h, r.applies(baseEnv, ev, n)->hash);
                 // The perturbation is a function on environments; its
                 // observable effect is how the axioms read through the
-                // perturbed relations, so hash that rendering.
+                // perturbed relations, so hash those formulas.
                 Env perturbed = r.perturb(baseEnv, ev, n);
-                h = hashCombine(
-                    h, allAxiomsRelaxed(perturbed, n)->toString());
+                h = hashCombine(h, allAxiomsRelaxed(perturbed, n)->hash);
             }
         }
     }
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(h));
-    if (digestMemoDisabled)
-        return buf;
-    digestMemo = buf;
-    return digestMemo;
+    return buf;
 }
 
 std::vector<NamedFact>

@@ -141,19 +141,9 @@ class Model
      */
     Axiom &axiomMut(const std::string &name);
 
-    void
-    addAxiom(Axiom axiom)
-    {
-        digestMemo.clear();
-        axiomList.push_back(std::move(axiom));
-    }
+    void addAxiom(Axiom axiom) { axiomList.push_back(std::move(axiom)); }
 
-    void
-    addRelaxation(Relaxation r)
-    {
-        digestMemo.clear();
-        relaxList.push_back(std::move(r));
-    }
+    void addRelaxation(Relaxation r) { relaxList.push_back(std::move(r)); }
 
     /** Extra well-formedness facts specific to this model. */
     void
@@ -169,7 +159,6 @@ class Model
         std::string label,
         std::function<rel::FormulaPtr(const Model &, const Env &, size_t)> f)
     {
-        digestMemo.clear();
         extraFacts.push_back({std::move(label), std::move(f)});
     }
 
@@ -230,12 +219,14 @@ class Model
      * Stable canonical digest of the model *definition*: a 16-hex-digit
      * hash over the name, feature switches, vocabulary, well-formedness
      * facts, every axiom's (plain and relaxed) predicate, and every
-     * relaxation's applicability and perturbation effect, each rendered
-     * at small probe sizes. Two processes — today's and a restarted
-     * one — compute the same digest for the same definition, so it is
-     * usable as a persistent cache key (the suite store and ltsd key on
-     * it); any semantic edit to the model changes it. A format-version
-     * tag is folded in, so digest changes across format revisions too.
+     * relaxation's applicability and perturbation effect, each built at
+     * small probe sizes and folded in by its root's rel::Formula::hash.
+     * Two processes — today's and a restarted one — compute the same
+     * digest for the same definition, so it is usable as a persistent
+     * cache key (the suite store and ltsd key on it); any structural
+     * edit, constants included, changes it. Recomputed on every call
+     * (about a millisecond for Power). A format-version tag is folded
+     * in, so digest changes across format revisions too.
      */
     std::string digest() const;
 
@@ -259,14 +250,6 @@ class Model
     std::vector<Axiom> axiomList;
     std::vector<Relaxation> relaxList;
     std::vector<ExtraFact> extraFacts;
-
-    /// digest() memoization; cleared by every mutator (axiomMut,
-    /// addAxiom, addRelaxation, addExtraFact) so edits re-hash. axiomMut
-    /// additionally disables memoization for good: the reference it
-    /// returns lets callers mutate predicates at any later point, where
-    /// a repopulated memo would silently go stale.
-    mutable std::string digestMemo;
-    bool digestMemoDisabled = false;
 };
 
 // --- generic relaxation builders (Figure 6 made reusable) -------------------

@@ -3,18 +3,33 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/hash.hh"
+
 namespace lts::rel
 {
 
 namespace
 {
 
-ExprPtr
+/**
+ * A fresh node and its structural hash. Var and Const fold their
+ * payload into the hash after this; the 'E' tag keeps expression
+ * hashes apart from formula hashes.
+ */
+std::shared_ptr<Expr>
 mkNode(ExprKind kind, int arity, ExprPtr lhs = nullptr, ExprPtr rhs = nullptr)
 {
     auto node = std::make_shared<Expr>();
     node->kind = kind;
     node->arity = arity;
+    uint64_t h = hashCombine(hashInit(), static_cast<uint64_t>('E'));
+    h = hashCombine(hashCombine(h, static_cast<uint64_t>(kind)),
+                    static_cast<uint64_t>(arity));
+    if (lhs)
+        h = hashCombine(h, lhs->hash);
+    if (rhs)
+        h = hashCombine(h, rhs->hash);
+    node->hash = h;
     node->lhs = std::move(lhs);
     node->rhs = std::move(rhs);
     return node;
@@ -46,11 +61,11 @@ ExprPtr
 mkVar(int var_id, const std::string &name, int arity)
 {
     assert(arity == 1 || arity == 2);
-    auto node = std::make_shared<Expr>();
-    node->kind = ExprKind::Var;
-    node->arity = arity;
+    auto node = mkNode(ExprKind::Var, arity);
     node->varId = var_id;
     node->name = name;
+    node->hash = hashCombine(
+        hashCombine(node->hash, static_cast<uint64_t>(var_id)), name);
     return node;
 }
 
@@ -76,9 +91,8 @@ mkIden()
 ExprPtr
 mkConst(Bitset contents)
 {
-    auto node = std::make_shared<Expr>();
-    node->kind = ExprKind::Const;
-    node->arity = 1;
+    auto node = mkNode(ExprKind::Const, 1);
+    node->hash = hashCombine(node->hash, contents.hash());
     node->constSet = std::move(contents);
     return node;
 }
@@ -86,9 +100,8 @@ mkConst(Bitset contents)
 ExprPtr
 mkConst(BitMatrix contents)
 {
-    auto node = std::make_shared<Expr>();
-    node->kind = ExprKind::Const;
-    node->arity = 2;
+    auto node = mkNode(ExprKind::Const, 2);
+    node->hash = hashCombine(node->hash, contents.hash());
     node->constMatrix = std::move(contents);
     return node;
 }

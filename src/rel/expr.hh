@@ -6,7 +6,9 @@
  * the role Kodkod plays underneath Alloy in the paper's toolflow. An
  * expression denotes either a set of atoms (arity 1) or a binary relation
  * over atoms (arity 2) in a finite universe of size n. Expressions are
- * immutable, hash-consed-by-shared_ptr trees built from:
+ * immutable DAGs whose nodes are shared by shared_ptr (not interned:
+ * building the same term twice gives two nodes with equal hashes), built
+ * from:
  *
  *   - relation variables (free relations the solver searches over),
  *   - constants (explicit bit-matrices, used e.g. for relaxation masks),
@@ -23,6 +25,7 @@
 #ifndef LTS_REL_EXPR_HH
 #define LTS_REL_EXPR_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -72,6 +75,13 @@ class Expr
     ExprPtr rhs;
     Bitset constSet;       ///< for Const with arity 1
     BitMatrix constMatrix; ///< for Const with arity 2
+
+    /**
+     * Structural hash, set by the factory: kind, arity, children's
+     * hashes, a Var's id and name, a Const's size and bits. No pointers
+     * or std::hash, so it is the same in every process (cache keys).
+     */
+    uint64_t hash = 0;
 
     /** Render in Alloy-ish surface syntax for diagnostics. */
     std::string toString() const;

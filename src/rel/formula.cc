@@ -3,17 +3,29 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/hash.hh"
+
 namespace lts::rel
 {
 
 namespace
 {
 
+/** Structural hash; the 'F' tag keeps it apart from expression hashes. */
+uint64_t
+formulaHash(FormulaKind kind, uint64_t lhs, uint64_t rhs)
+{
+    uint64_t h = hashCombine(hashInit(), static_cast<uint64_t>('F'));
+    h = hashCombine(h, static_cast<uint64_t>(kind));
+    return hashCombine(hashCombine(h, lhs), rhs);
+}
+
 FormulaPtr
 mkExprNode(FormulaKind kind, ExprPtr a, ExprPtr b = nullptr)
 {
     auto node = std::make_shared<Formula>();
     node->kind = kind;
+    node->hash = formulaHash(kind, a->hash, b ? b->hash : 0);
     node->exprLhs = std::move(a);
     node->exprRhs = std::move(b);
     return node;
@@ -24,6 +36,7 @@ mkConnective(FormulaKind kind, FormulaPtr a, FormulaPtr b = nullptr)
 {
     auto node = std::make_shared<Formula>();
     node->kind = kind;
+    node->hash = formulaHash(kind, a ? a->hash : 0, b ? b->hash : 0);
     node->lhs = std::move(a);
     node->rhs = std::move(b);
     return node;

@@ -12,6 +12,7 @@
 #ifndef LTS_REL_FORMULA_HH
 #define LTS_REL_FORMULA_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -55,6 +56,9 @@ class Formula
     ExprPtr exprRhs;
     FormulaPtr lhs;    ///< operand formulas (when applicable)
     FormulaPtr rhs;
+
+    /** Structural hash over kind and operand hashes (see Expr::hash). */
+    uint64_t hash = 0;
 
     /** Render in Alloy-ish surface syntax for diagnostics. */
     std::string toString() const;

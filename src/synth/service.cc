@@ -337,10 +337,8 @@ std::string
 baseFormulaDigest(const mm::Model &model, int size)
 {
     uint64_t h = hashInit();
-    h = hashCombine(h, std::string_view("lts-base-v1"));
-    h = hashCombine(h,
-                    minimalityBase(model, static_cast<size_t>(size))
-                        ->toString());
+    h = hashCombine(h, std::string_view("lts-base-v2"));
+    h = hashCombine(h, minimalityBase(model, static_cast<size_t>(size))->hash);
     return hex16(h);
 }
 
@@ -348,10 +346,9 @@ std::string
 violationDigest(const mm::Model &model, const std::string &axiom, int size)
 {
     uint64_t h = hashInit();
-    h = hashCombine(h, std::string_view("lts-viol-v1"));
-    h = hashCombine(h,
-                    axiomViolation(model, axiom, static_cast<size_t>(size))
-                        ->toString());
+    h = hashCombine(h, std::string_view("lts-viol-v2"));
+    h = hashCombine(
+        h, axiomViolation(model, axiom, static_cast<size_t>(size))->hash);
     return hex16(h);
 }
 
@@ -501,17 +498,6 @@ Service::~Service() = default;
 SuiteResult
 Service::query(const SuiteRequest &request, const QueryProgressFn &on_progress)
 {
-    if (config.residentEncodings) {
-        // Daemon mode: keep the registry model resident so its memoized
-        // digest makes repeat-query keying cost map lookups, not
-        // formula rendering.
-        auto it = models.find(request.model);
-        if (it == models.end()) {
-            it = models.emplace(request.model, mm::makeModel(request.model))
-                     .first;
-        }
-        return query(*it->second, request, on_progress);
-    }
     std::unique_ptr<mm::Model> model = mm::makeModel(request.model);
     return query(*model, request, on_progress);
 }
@@ -562,7 +548,7 @@ Service::query(const mm::Model &model, const SuiteRequest &request,
 
     // 0. Resident result (daemon mode): the assembled answer to this
     //    exact (modelDigest, bound, optionsDigest) is already in memory.
-    //    Checked before any per-shard digest is rendered — this path
+    //    Checked before any per-shard digest is computed — this path
     //    must cost map lookups and a copy, nothing solver-shaped.
     if (config.residentEncodings) {
         auto hot = resultCache.find(manifest_key);

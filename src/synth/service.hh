@@ -10,14 +10,14 @@
  * synthesis, so caching and byte-identity guarantees hold everywhere.
  *
  * Caching is two-level, both levels keyed by content digests that
- * survive process restarts (mm::Model::digest renders formulas, not
- * pointers):
+ * survive process restarts: they fold in the structural hashes of
+ * formula nodes (rel::Formula::hash), never pointers:
  *
  *  - shard records:  shard/<baseDigest>/<violationDigest>/<opts>/n<N>
- *    one per (axiom, size), keyed by the rendered minimalityBase and
- *    axiomViolation formulas at that size. Editing one axiom's
- *    predicate changes only that axiom's violation digests, so only its
- *    shards miss — everything else is served from the store.
+ *    one per (axiom, size), keyed by the structural hashes of the
+ *    minimalityBase and axiomViolation formulas at that size. Editing
+ *    one axiom's predicate changes only that axiom's violation digests,
+ *    so only its shards miss — everything else is served from the store.
  *
  *  - suite manifests: suite/<modelDigest>/n<min>-<max>/<opts>[/one:<axiom>]
  *    the (modelDigest, bound, optionsDigest) index entry: the union
@@ -196,7 +196,6 @@ class Service
     {
         encodings.clear();
         resultCache.clear();
-        models.clear();
     }
 
   private:
@@ -204,9 +203,6 @@ class Service
     std::unique_ptr<store::SuiteStore> suiteStore;
     SynthProgress progress;
     std::map<std::string, std::unique_ptr<BaseEncoding>> encodings;
-    /// Daemon mode only: registry models kept resident across requests,
-    /// so their memoized digests make repeat-query keying cheap.
-    std::map<std::string, std::unique_ptr<mm::Model>> models;
     /// Daemon mode only: assembled SuiteResults keyed by manifest key,
     /// so a repeat query skips store reads and reassembly entirely. The
     /// key embeds the model/options digests, so an edited model can

@@ -251,8 +251,8 @@ Suite assembleShardSuite(const mm::Model &model, const std::string &label,
  * No reference to the construction-time Model is retained: the sweep
  * takes the model by argument, so a daemon may keep the encoding hot
  * across model *edits* as long as the edited model's minimalityBase at
- * this size renders identically (the service layer checks exactly that
- * digest before reusing one).
+ * this size is structurally identical (the service layer checks exactly
+ * that digest before reusing one).
  *
  * With options.proofDir set at construction the encoding owns a proof
  * writer for proofFilePath(options, model, size), and every layer swept
@@ -269,7 +269,7 @@ class BaseEncoding
 
     /**
      * Enumerate one axiom's shard on the encoding. @p model must have
-     * the same vocabulary and minimalityBase rendering as the
+     * the same vocabulary and the same minimalityBase structure as the
      * construction-time model (it may be a different instance, e.g.
      * after an axiom-predicate edit that set relaxedPred explicitly).
      */

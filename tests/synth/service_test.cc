@@ -3,7 +3,9 @@
  * Service-layer tests: cold/warm byte identity through the store and
  * the resident (daemon-mode) path, registry-wide agreement with a plain
  * synthesizeAll run, shard-level invalidation when one axiom is edited,
- * digest semantics, and the request/result wire payload round trip.
+ * digest semantics (sound under constant-only edits, pinned across
+ * processes and builds, linear in the formula DAG), and the
+ * request/result wire payload round trip.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "litmus/canon.hh"
 #include "litmus/digest.hh"
+#include "mm/exprs.hh"
 #include "mm/registry.hh"
 #include "rel/formula.hh"
 #include "synth/service.hh"
@@ -262,6 +265,80 @@ TEST_F(ServiceTest, ModelDigestIsStableAndEditSensitive)
         return rel::mkAnd(f, f);
     };
     EXPECT_NE(model->digest(), before);
+
+    // Fresh instances of one definition agree on every shard key.
+    auto a = mm::makeModel("tso");
+    auto b = mm::makeModel("tso");
+    for (int size = 2; size <= 4; size++) {
+        EXPECT_EQ(synth::baseFormulaDigest(*a, size),
+                  synth::baseFormulaDigest(*b, size));
+        for (const auto &axiom : a->axioms()) {
+            EXPECT_EQ(synth::violationDigest(*a, axiom.name, size),
+                      synth::violationDigest(*b, axiom.name, size));
+        }
+    }
+}
+
+TEST_F(ServiceTest, ConstantOnlyEditsChangeTheKey)
+{
+    const size_t n = 3;
+    auto tso = mm::makeModel("tso");
+    rel::ExprPtr rf = tso->base().get(mm::kRf);
+    EXPECT_NE(mm::cellIn(rf, 0, 1, n)->hash, mm::cellIn(rf, 1, 0, n)->hash);
+    EXPECT_NE(mm::singleton(0, n)->hash, mm::singleton(1, n)->hash);
+
+    // Two models that differ only in which cell a constant selects.
+    auto withFact = [](size_t i, size_t j) {
+        auto model = mm::makeModel("tso");
+        model->addExtraFact("no-rf-cell",
+                            [i, j](const mm::Model &, const mm::Env &env,
+                                   size_t size) {
+                                return rel::mkNot(
+                                    mm::cellIn(env.get(mm::kRf), i, j, size));
+                            });
+        return model;
+    };
+    auto m01 = withFact(0, 1);
+    auto m10 = withFact(1, 0);
+    EXPECT_NE(m01->digest(), m10->digest());
+    EXPECT_NE(synth::baseFormulaDigest(*m01, 3),
+              synth::baseFormulaDigest(*m10, 3));
+    EXPECT_EQ(m01->digest(), withFact(0, 1)->digest());
+}
+
+TEST_F(ServiceTest, DoublingFormulaIsKeyedAtOnce)
+{
+    // 64 self-conjunctions: 2^64 copies of the axiom as a tree, 64 new
+    // nodes as a DAG. Keys read the stored root hashes, so this costs
+    // what an unedited model's keys cost; a tree walk would never return.
+    auto model = mm::makeModel("tso");
+    auto &axiom = model->axiomMut("causality");
+    axiom.relaxedPred = axiom.pred;
+    auto original = axiom.pred;
+    axiom.pred = [original](const mm::Model &m, const mm::Env &env,
+                            size_t n) {
+        auto f = original(m, env, n);
+        for (int i = 0; i < 64; i++)
+            f = rel::mkAnd(f, f);
+        return f;
+    };
+    auto fresh = mm::makeModel("tso");
+    EXPECT_NE(model->digest(), fresh->digest());
+    EXPECT_NE(synth::violationDigest(*model, "causality", 3),
+              synth::violationDigest(*fresh, "causality", 3));
+    EXPECT_EQ(synth::baseFormulaDigest(*model, 3),
+              synth::baseFormulaDigest(*fresh, 3));
+}
+
+TEST_F(ServiceTest, KeysArePinned)
+{
+    // Literal values: a hash that read pointer values, std::hash or
+    // anything build-specific would fail here. A deliberate change of
+    // the key scheme bumps its version tag and these pins together.
+    auto tso = mm::makeModel("tso");
+    EXPECT_EQ(tso->digest(), "adff17006bed3ddc");
+    EXPECT_EQ(synth::baseFormulaDigest(*tso, 3), "2ddd1ec7264499a1");
+    EXPECT_EQ(synth::violationDigest(*tso, "causality", 3), "e16b29a7bb0c9945");
 }
 
 TEST_F(ServiceTest, RequestPayloadRoundTrips)
